@@ -1,4 +1,4 @@
-"""Shell-by-shell summation kernels.
+"""Shell-by-shell summation kernel.
 
 Every series handled here has hypergeometric-type terms: the term at a
 multi-index m equals the term at m - e_j times a precomputed step factor.
@@ -8,24 +8,36 @@ stepped coordinate (array ``AU[j]``, indexed by the old m_j, with the
 coordinate x_j folded in). Summation runs shell by shell in total degree;
 per-shell magnitudes feed the stopping rule and the tail estimate.
 
-Stopping rule, shared by all kernels: after shell s compute
+Layout: shell s is one flat array of the C(s + r - 1, r - 1) terms of
+total degree s, in ``compositions(s, r)`` order, and the parent of m is
+m - e_j with j its first nonzero axis. In that order the terms with
+m_0 >= 1 step exactly shell s-1 along axis 0, in order, with the factor
+AU[0, k] repeated over the terms whose m_0 = k + 1, as many as shell
+s-1-k has in r-1 variables. The m_0 = 0 block in front is shell s in
+axes 1..r-1, whose parents are the matching leading block of shell s-1;
+so ``shell_step`` applies the one rule level by level down to the single
+term (0, ..., 0, s). It serves every arity, with an optional leading
+batch axis, and needs no index tables.
+
+Two loops run it. ``shell_sum`` sums one point in a scalar loop with
+Kahan compensation (r = 1 takes a prefix product instead: on a line each
+shell is one term). ``batch_shell_sum`` sums many points of one parameter
+set at once; a node leaves the working arrays at the shell where it
+finishes, so its value does not depend on its neighbours.
+
+Stopping rule, shared by both loops: after shell s compute
 q = mag_s / mag_{s-1} clamped to q_cap, tail = mag_s * q/(1-q), and stop
 once tail <= rel_tol * max(|acc|, tiny) on two consecutive shells. One
 small shell alone is not trusted: sign cancellation inside a shell can
 make it spuriously tiny. An exactly zero shell terminates the sum (every
 later term is a product of a zero parent).
 
-Each arity has a scalar-loop variant (``*_jit``, compiled when numba is
-active) and a vectorized numpy variant (``*_np``). ``shell_sum`` picks
-one based on the env flag handled in ``_jit``. Arity >= 4 falls back to
-a dict-based pure-Python walk in either mode.
-
 Status codes: 0 converged, 1 terminated exactly, 2 cap exhausted.
 """
 
-import numpy as np
+from functools import lru_cache
 
-from ._jit import NUMBA_ENABLED, njit, prange
+import numpy as np
 
 CONVERGED = 0
 TERMINATED = 1
@@ -34,176 +46,67 @@ MAXED = 2
 TINY = float(np.finfo(np.float64).tiny)
 
 
-# ---------------------------------------------------------------------------
-# single-point kernels, scalar loops (numba targets)
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def shell_sum_r1_jit(AS, AU0, rel_tol, q_cap, s_max, mags):
-    acc = 1.0
-    comp = 0.0
-    term = 1.0
-    mags[0] = 1.0
-    mag_prev = 1.0
-    mag_last = 1.0
-    terms = 1
-    shells = 0
-    status = MAXED
-    ok_run = 0
-    for s in range(1, s_max + 1):
-        term = term * AS[s - 1] * AU0[s - 1]
-        mag = abs(term)
-        mags[s] = mag
-        terms += 1
-        shells = s
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        mag_prev = mag_last
-        mag_last = mag
-        if mag == 0.0:
-            status = TERMINATED
-            break
-        q = mag / mag_prev
-        if q > q_cap:
-            q = q_cap
-        tail = mag * q / (1.0 - q)
-        if tail <= rel_tol * max(abs(acc), TINY):
-            ok_run += 1
-            if ok_run >= 2:
-                status = CONVERGED
-                break
-        else:
-            ok_run = 0
-    return acc, shells, mag_last, mag_prev, terms, status
+def compositions(total, parts):
+    """Yield all tuples of `parts` non-negative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
-@njit(cache=True)
-def shell_sum_r2_jit(AS, AU0, AU1, rel_tol, q_cap, s_max, mags):
-    cur = np.zeros(s_max + 1)
-    nxt = np.zeros(s_max + 1)
-    cur[0] = 1.0
-    acc = 1.0
-    comp = 0.0
-    mags[0] = 1.0
-    mag_prev = 1.0
-    mag_last = 1.0
-    terms = 1
-    shells = 0
-    status = MAXED
-    ok_run = 0
-    for s in range(1, s_max + 1):
-        a = AS[s - 1]
-        # child (0, s) steps axis 2 from (0, s-1); children with m1 >= 1
-        # step axis 1 from (m1-1, s-m1)
-        nxt[0] = cur[0] * a * AU1[s - 1]
-        for m1 in range(1, s + 1):
-            nxt[m1] = cur[m1 - 1] * a * AU0[m1 - 1]
-        shell = 0.0
-        mag = 0.0
-        for m1 in range(s + 1):
-            v = nxt[m1]
-            shell += v
-            mag += abs(v)
-        terms += s + 1
-        shells = s
-        mags[s] = mag
-        y = shell - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        mag_prev = mag_last
-        mag_last = mag
-        tmp = cur
-        cur = nxt
-        nxt = tmp
-        if mag == 0.0:
-            status = TERMINATED
-            break
-        q = mag / mag_prev
-        if q > q_cap:
-            q = q_cap
-        tail = mag * q / (1.0 - q)
-        if tail <= rel_tol * max(abs(acc), TINY):
-            ok_run += 1
-            if ok_run >= 2:
-                status = CONVERGED
-                break
-        else:
-            ok_run = 0
-    return acc, shells, mag_last, mag_prev, terms, status
+@lru_cache(maxsize=64)
+def shell_sizes(r, s_max):
+    """(sizes, columns) for arity r through shell s_max: sizes[k, n] =
+    C(n + k - 1, k - 1) is the number of terms of total degree n in k
+    variables (k = 0..r), and columns[n] is sizes[:, n] as Python ints."""
+    sizes = np.zeros((r + 1, s_max + 1), dtype=np.int64)
+    sizes[0, 0] = 1
+    for k in range(1, r + 1):
+        np.cumsum(sizes[k - 1], out=sizes[k])
+    sizes.setflags(write=False)
+    return sizes, tuple(map(tuple, sizes.T.tolist()))
 
 
-@njit(cache=True)
-def shell_sum_r3_jit(AS, AU0, AU1, AU2, rel_tol, q_cap, s_max, mags):
-    size = s_max + 1
-    cur = np.zeros((size, size))
-    nxt = np.zeros((size, size))
-    cur[0, 0] = 1.0
-    acc = 1.0
-    comp = 0.0
-    mags[0] = 1.0
-    mag_prev = 1.0
-    mag_last = 1.0
-    terms = 1
-    shells = 0
-    status = MAXED
-    ok_run = 0
-    for s in range(1, s_max + 1):
-        a = AS[s - 1]
-        shell = 0.0
-        mag = 0.0
-        # child (m1, m2, s-m1-m2); parent: first coordinate that can step down
-        for m1 in range(s + 1):
-            for m2 in range(s - m1 + 1):
-                if m1 >= 1:
-                    v = cur[m1 - 1, m2] * a * AU0[m1 - 1]
-                elif m2 >= 1:
-                    v = cur[0, m2 - 1] * a * AU1[m2 - 1]
-                else:
-                    v = cur[0, 0] * a * AU2[s - 1]
-                nxt[m1, m2] = v
-                shell += v
-                mag += abs(v)
-        terms += (s + 1) * (s + 2) // 2
-        shells = s
-        mags[s] = mag
-        y = shell - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        mag_prev = mag_last
-        mag_last = mag
-        tmp = cur
-        cur = nxt
-        nxt = tmp
-        if mag == 0.0:
-            status = TERMINATED
-            break
-        q = mag / mag_prev
-        if q > q_cap:
-            q = q_cap
-        tail = mag * q / (1.0 - q)
-        if tail <= rel_tol * max(abs(acc), TINY):
-            ok_run += 1
-            if ok_run >= 2:
-                status = CONVERGED
-                break
-        else:
-            ok_run = 0
-    return acc, shells, mag_last, mag_prev, terms, status
+def shell_step(cur, s, a, AU, tables, coords=None):
+    """Shell s from shell s-1 (`cur`, flat, with an optional leading batch
+    axis); `a` is AS[s-1] and `tables` is ``shell_sizes(r, s_max)``. With
+    `coords`, AU leaves the coordinates out and coords[j] (one value per
+    batch row) multiplies every axis-j step.
+    """
+    sizes, columns = tables
+    col = columns[s]
+    r = len(col) - 1
+    nxt = np.empty(cur.shape[:-1] + (col[r],))
+    # k = 1: the single term (0, ..., 0, s)
+    nxt[..., 0] = cur[..., 0] * AU[r - 1, s - 1]
+    if coords is not None:
+        nxt[..., 0] *= a * coords[r - 1]
+    lo = 1
+    for k in range(2, r + 1):
+        # the m_j >= 1 block of the k-variable shell; its parents are the
+        # k-variable block that leads shell s-1
+        j = r - k
+        hi = col[k]
+        fac = AU[j, :s]
+        if k > 2:
+            fac = fac.repeat(sizes[k - 1, s - 1::-1])
+        blk = nxt[..., lo:hi]
+        np.multiply(cur[..., :hi - lo], fac, out=blk)
+        if coords is not None:
+            blk *= (a * coords[j])[:, None]
+        lo = hi
+    if coords is None:
+        nxt *= a
+    return nxt
 
-
-# ---------------------------------------------------------------------------
-# single-point kernels, vectorized numpy fallbacks
-# ---------------------------------------------------------------------------
 
 def _scan_stop(mags_list, acc_list, rel_tol, q_cap):
     """Replay the stopping rule over precomputed shell magnitudes.
 
-    Used by the r=1 fallback, where all candidate terms are cheap to
-    produce up front. Returns (shells, status).
+    Used by the r=1 prefix product, where all candidate terms are cheap
+    to produce up front. Returns (shells, status).
     """
     ok_run = 0
     for s in range(1, len(mags_list)):
@@ -223,7 +126,7 @@ def _scan_stop(mags_list, acc_list, rel_tol, q_cap):
     return len(mags_list) - 1, MAXED
 
 
-def shell_sum_r1_np(AS, AU0, rel_tol, q_cap, s_max, mags):
+def _prefix_sum_r1(AS, AU0, rel_tol, q_cap, s_max, mags):
     terms = np.empty(s_max + 1)
     terms[0] = 1.0
     if s_max:
@@ -238,7 +141,18 @@ def shell_sum_r1_np(AS, AU0, rel_tol, q_cap, s_max, mags):
     return value, shells, mag_last, mag_prev, shells + 1, status
 
 
-def shell_sum_r2_np(AS, AU0, AU1, rel_tol, q_cap, s_max, mags):
+def shell_sum(arity, AS, AU, rel_tol, q_cap, s_max):
+    """Sum one point; returns (value, shells, mag_last, mag_prev, terms,
+    status, mags)."""
+    mags = np.zeros(s_max + 1)
+    if arity == 1:
+        return _prefix_sum_r1(AS, AU[0], rel_tol, q_cap, s_max, mags) \
+            + (mags,)
+    tables = shell_sizes(arity, s_max)
+    AS = AS.tolist()
+    AU0, AU1 = AU[0], AU[1]
+    add, absolute = np.add.reduce, np.abs
+    multiply, empty = np.multiply, np.empty
     cur = np.ones(1)
     acc = 1.0
     comp = 0.0
@@ -250,13 +164,20 @@ def shell_sum_r2_np(AS, AU0, AU1, rel_tol, q_cap, s_max, mags):
     status = MAXED
     ok_run = 0
     for s in range(1, s_max + 1):
-        nxt = np.empty(s + 1)
-        nxt[0] = cur[0] * AS[s - 1] * AU1[s - 1]
-        np.multiply(cur, AU0[:s], out=nxt[1:])
-        nxt[1:] *= AS[s - 1]
-        shell = float(nxt.sum())
-        mag = float(np.abs(nxt).sum())
-        terms += s + 1
+        a = AS[s - 1]
+        if arity == 2:
+            # shell_step for r = 2, inline: this loop runs 1000+ shells
+            # near the boundary
+            nxt = empty(s + 1)
+            nxt[0] = cur[0] * a * AU1[s - 1]
+            blk = nxt[1:]
+            multiply(cur, AU0[:s], out=blk)
+            blk *= a
+        else:
+            nxt = shell_step(cur, s, a, AU, tables)
+        shell = float(add(nxt))
+        mag = float(add(absolute(nxt)))
+        terms += nxt.size
         shells = s
         mags[s] = mag
         y = shell - comp
@@ -278,385 +199,48 @@ def shell_sum_r2_np(AS, AU0, AU1, rel_tol, q_cap, s_max, mags):
                 break
         else:
             ok_run = 0
-    return acc, shells, mag_last, mag_prev, terms, status
+    return acc, shells, mag_last, mag_prev, terms, status, mags
 
 
-def shell_sum_r3_np(AS, AU0, AU1, AU2, rel_tol, q_cap, s_max, mags):
-    size = s_max + 1
-    # full squares, zero outside the active triangle; the rectangle writes
-    # below keep that invariant because out-of-triangle parents are zero
-    cur = np.zeros((size, size))
-    nxt = np.zeros((size, size))
-    cur[0, 0] = 1.0
-    acc = 1.0
-    comp = 0.0
-    mags[0] = 1.0
-    mag_prev = 1.0
-    mag_last = 1.0
-    terms = 1
-    shells = 0
-    status = MAXED
-    ok_run = 0
-    for s in range(1, s_max + 1):
-        a = AS[s - 1]
-        nxt[1 : s + 1, :s] = cur[:s, :s] * (a * AU0[:s])[:, None]
-        nxt[0, 1 : s + 1] = cur[0, :s] * (a * AU1[:s])
-        nxt[0, 0] = cur[0, 0] * a * AU2[s - 1]
-        view = nxt[: s + 1, : s + 1]
-        shell = float(view.sum())
-        mag = float(np.abs(view).sum())
-        terms += (s + 1) * (s + 2) // 2
-        shells = s
-        mags[s] = mag
-        y = shell - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        mag_prev = mag_last
-        mag_last = mag
-        cur, nxt = nxt, cur
-        if mag == 0.0:
-            status = TERMINATED
-            break
-        q = min(mag / mag_prev, q_cap)
-        tail = mag * q / (1.0 - q)
-        if tail <= rel_tol * max(abs(acc), TINY):
-            ok_run += 1
-            if ok_run >= 2:
-                status = CONVERGED
-                break
-        else:
-            ok_run = 0
-    return acc, shells, mag_last, mag_prev, terms, status
+def batch_shell_sum(arity, AS, P, coords, rel_tol, q_cap, s_max):
+    """Sum many points of one parameter set; returns (values,
+    converged_mask).
 
-
-# ---------------------------------------------------------------------------
-# generic arity, pure python (r >= 4 is rare and test-sized)
-# ---------------------------------------------------------------------------
-
-def compositions(total, parts):
-    """Yield all tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def shell_sum_generic(AS, AU, rel_tol, q_cap, s_max, mags):
-    r = AU.shape[0]
-    prev = {(0,) * r: 1.0}
-    acc = 1.0
-    comp = 0.0
-    mags[0] = 1.0
-    mag_prev = 1.0
-    mag_last = 1.0
-    terms = 1
-    shells = 0
-    status = MAXED
-    ok_run = 0
-    for s in range(1, s_max + 1):
-        a = AS[s - 1]
-        cur = {}
-        shell = 0.0
-        mag = 0.0
-        for m in compositions(s, r):
-            for j in range(r):
-                if m[j]:
-                    parent = m[:j] + (m[j] - 1,) + m[j + 1 :]
-                    v = prev[parent] * a * AU[j, m[j] - 1]
-                    break
-            cur[m] = v
-            shell += v
-            mag += abs(v)
-        terms += len(cur)
-        shells = s
-        mags[s] = mag
-        y = shell - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        mag_prev = mag_last
-        mag_last = mag
-        prev = cur
-        if mag == 0.0:
-            status = TERMINATED
-            break
-        q = min(mag / mag_prev, q_cap)
-        tail = mag * q / (1.0 - q)
-        if tail <= rel_tol * max(abs(acc), TINY):
-            ok_run += 1
-            if ok_run >= 2:
-                status = CONVERGED
-                break
-        else:
-            ok_run = 0
-    return acc, shells, mag_last, mag_prev, terms, status
-
-
-def shell_sum(arity, AS, AU, rel_tol, q_cap, s_max, use_numba=None):
-    """Dispatch to the right kernel; returns (value, shells, mag_last,
-    mag_prev, terms, status, mags)."""
-    if use_numba is None:
-        use_numba = NUMBA_ENABLED
-    mags = np.zeros(s_max + 1)
-    if arity == 1:
-        fn = shell_sum_r1_jit if use_numba else shell_sum_r1_np
-        out = fn(AS, AU[0], rel_tol, q_cap, s_max, mags)
-    elif arity == 2:
-        fn = shell_sum_r2_jit if use_numba else shell_sum_r2_np
-        out = fn(AS, AU[0], AU[1], rel_tol, q_cap, s_max, mags)
-    elif arity == 3:
-        fn = shell_sum_r3_jit if use_numba else shell_sum_r3_np
-        out = fn(AS, AU[0], AU[1], AU[2], rel_tol, q_cap, s_max, mags)
-    else:
-        out = shell_sum_generic(AS, AU, rel_tol, q_cap, s_max, mags)
-    return out + (mags,)
-
-
-# ---------------------------------------------------------------------------
-# batched kernels (one fixed parameter set, many evaluation points)
-#
-# used by the quadrature module, where the integrand carries a
-# hypergeometric factor evaluated at every tensor node. AS is as above;
-# P[j][m] is AU[j][m] with the coordinate divided out, so the node value
-# multiplies back in.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, parallel=True)
-def batch_r1_jit(AS, P0, z, rel_tol, q_cap, s_max):
-    n = z.shape[0]
+    P[j][m] is AU[j][m] with the coordinate divided out; coords[j] holds
+    every point's coordinate j. A node leaves the working arrays at the
+    shell where it terminates or converges; nodes still running at s_max
+    keep the partial sum and a False mask entry.
+    """
+    tables = shell_sizes(arity, s_max)
+    X = np.array(coords, dtype=np.float64).reshape(arity, -1)
+    n = X.shape[1]
     out = np.empty(n)
-    ok = np.zeros(n, dtype=np.bool_)
-    for i in prange(n):
-        zi = z[i]
-        term = 1.0
-        acc = 1.0
-        mag_prev = 1.0
-        ok_run = 0
-        done = False
-        for s in range(1, s_max + 1):
-            term = term * AS[s - 1] * P0[s - 1] * zi
-            acc += term
-            mag = abs(term)
-            if mag == 0.0:
-                done = True
-                break
-            q = mag / mag_prev
-            if q > q_cap:
-                q = q_cap
-            if mag * q / (1.0 - q) <= rel_tol * max(abs(acc), TINY):
-                ok_run += 1
-                if ok_run >= 2:
-                    done = True
-                    break
-            else:
-                ok_run = 0
-            mag_prev = mag
-        out[i] = acc
-        ok[i] = done
-    return out, ok
-
-
-@njit(cache=True, parallel=True)
-def batch_r2_jit(AS, P0, P1, x, y, rel_tol, q_cap, s_max):
-    n = x.shape[0]
-    out = np.empty(n)
-    ok = np.zeros(n, dtype=np.bool_)
-    for i in prange(n):
-        xi = x[i]
-        yi = y[i]
-        cur = np.zeros(s_max + 1)
-        nxt = np.zeros(s_max + 1)
-        cur[0] = 1.0
-        acc = 1.0
-        mag_prev = 1.0
-        ok_run = 0
-        done = False
-        for s in range(1, s_max + 1):
-            a = AS[s - 1]
-            nxt[0] = cur[0] * a * P1[s - 1] * yi
-            for m1 in range(1, s + 1):
-                nxt[m1] = cur[m1 - 1] * a * P0[m1 - 1] * xi
-            shell = 0.0
-            mag = 0.0
-            for m1 in range(s + 1):
-                v = nxt[m1]
-                shell += v
-                mag += abs(v)
-            acc += shell
-            tmp = cur
-            cur = nxt
-            nxt = tmp
-            if mag == 0.0:
-                done = True
-                break
-            q = mag / mag_prev
-            if q > q_cap:
-                q = q_cap
-            if mag * q / (1.0 - q) <= rel_tol * max(abs(acc), TINY):
-                ok_run += 1
-                if ok_run >= 2:
-                    done = True
-                    break
-            else:
-                ok_run = 0
-            mag_prev = mag
-        out[i] = acc
-        ok[i] = done
-    return out, ok
-
-
-@njit(cache=True, parallel=True)
-def batch_r3_jit(AS, P0, P1, P2, x, y, z, rel_tol, q_cap, s_max):
-    n = x.shape[0]
-    out = np.empty(n)
-    ok = np.zeros(n, dtype=np.bool_)
-    size = s_max + 1
-    for i in prange(n):
-        xi = x[i]
-        yi = y[i]
-        zi = z[i]
-        cur = np.zeros((size, size))
-        nxt = np.zeros((size, size))
-        cur[0, 0] = 1.0
-        acc = 1.0
-        mag_prev = 1.0
-        ok_run = 0
-        done = False
-        for s in range(1, s_max + 1):
-            a = AS[s - 1]
-            shell = 0.0
-            mag = 0.0
-            for m1 in range(s + 1):
-                for m2 in range(s - m1 + 1):
-                    if m1 >= 1:
-                        v = cur[m1 - 1, m2] * a * P0[m1 - 1] * xi
-                    elif m2 >= 1:
-                        v = cur[0, m2 - 1] * a * P1[m2 - 1] * yi
-                    else:
-                        v = cur[0, 0] * a * P2[s - 1] * zi
-                    nxt[m1, m2] = v
-                    shell += v
-                    mag += abs(v)
-            acc += shell
-            tmp = cur
-            cur = nxt
-            nxt = tmp
-            if mag == 0.0:
-                done = True
-                break
-            q = mag / mag_prev
-            if q > q_cap:
-                q = q_cap
-            if mag * q / (1.0 - q) <= rel_tol * max(abs(acc), TINY):
-                ok_run += 1
-                if ok_run >= 2:
-                    done = True
-                    break
-            else:
-                ok_run = 0
-            mag_prev = mag
-        out[i] = acc
-        ok[i] = done
-    return out, ok
-
-
-def batch_r1_np(AS, P0, z, rel_tol, q_cap, s_max):
-    n = z.shape[0]
-    term = np.ones(n)
-    acc = np.ones(n)
-    mag_prev = np.ones(n)
-    ok_run = np.zeros(n, dtype=np.int8)
     done = np.zeros(n, dtype=bool)
-    for s in range(1, s_max + 1):
-        term *= AS[s - 1] * P0[s - 1] * z
-        acc += term
-        mag = np.abs(term)
-        zero = mag == 0.0
-        q = np.minimum(np.divide(mag, mag_prev, out=np.full(n, q_cap),
-                                 where=mag_prev > 0.0), q_cap)
-        small = mag * q / (1.0 - q) <= rel_tol * np.maximum(np.abs(acc), TINY)
-        ok_run = np.where(small, ok_run + 1, 0)
-        done |= zero | (ok_run >= 2)
-        if done.all():
-            break
-        mag_prev = mag
-    return acc, done
-
-
-def batch_r2_np(AS, P0, P1, x, y, rel_tol, q_cap, s_max):
-    n = x.shape[0]
+    live = np.arange(n)
     cur = np.ones((n, 1))
     acc = np.ones(n)
     mag_prev = np.ones(n)
     ok_run = np.zeros(n, dtype=np.int8)
-    done = np.zeros(n, dtype=bool)
+    add = np.add.reduce
     for s in range(1, s_max + 1):
-        a = AS[s - 1]
-        nxt = np.empty((n, s + 1))
-        nxt[:, 0] = cur[:, 0] * (a * P1[s - 1]) * y
-        nxt[:, 1:] = cur * (a * P0[:s]) * x[:, None]
-        acc += nxt.sum(axis=1)
-        mag = np.abs(nxt).sum(axis=1)
-        cur = nxt
-        zero = mag == 0.0
-        q = np.minimum(np.divide(mag, mag_prev, out=np.full(n, q_cap),
-                                 where=mag_prev > 0.0), q_cap)
+        cur = shell_step(cur, s, AS[s - 1], P, tables, X)
+        acc += add(cur, axis=1)
+        mag = add(np.abs(cur), axis=1)
+        # every live node has mag_prev > 0: a zero shell finishes its node
+        q = np.minimum(mag / mag_prev, q_cap)
         small = mag * q / (1.0 - q) <= rel_tol * np.maximum(np.abs(acc), TINY)
-        ok_run = np.where(small, ok_run + 1, 0)
-        done |= zero | (ok_run >= 2)
-        if done.all():
-            break
+        ok_run = (ok_run + 1) * small
+        fin = (mag == 0.0) | (ok_run >= 2)
+        if fin.any():
+            gone = np.flatnonzero(fin)
+            out[live[gone]] = acc[gone]
+            done[live[gone]] = True
+            if gone.size == live.size:
+                return out, done
+            keep = np.flatnonzero(~fin)
+            live, cur, acc, mag, ok_run, X = (
+                live[keep], cur[keep], acc[keep], mag[keep], ok_run[keep],
+                X[:, keep])
         mag_prev = mag
-    return acc, done
-
-
-def batch_r3_np(AS, P0, P1, P2, x, y, z, rel_tol, q_cap, s_max):
-    n = x.shape[0]
-    size = s_max + 1
-    cur = np.zeros((n, size, size))
-    nxt = np.zeros((n, size, size))
-    cur[:, 0, 0] = 1.0
-    acc = np.ones(n)
-    mag_prev = np.ones(n)
-    ok_run = np.zeros(n, dtype=np.int8)
-    done = np.zeros(n, dtype=bool)
-    for s in range(1, s_max + 1):
-        a = AS[s - 1]
-        nxt[:, 1 : s + 1, :s] = cur[:, :s, :s] * (a * P0[:s])[None, :, None] \
-            * x[:, None, None]
-        nxt[:, 0, 1 : s + 1] = cur[:, 0, :s] * (a * P1[:s]) * y[:, None]
-        nxt[:, 0, 0] = cur[:, 0, 0] * (a * P2[s - 1]) * z
-        view = nxt[:, : s + 1, : s + 1]
-        acc += view.sum(axis=(1, 2))
-        mag = np.abs(view).sum(axis=(1, 2))
-        cur, nxt = nxt, cur
-        zero = mag == 0.0
-        q = np.minimum(np.divide(mag, mag_prev, out=np.full(n, q_cap),
-                                 where=mag_prev > 0.0), q_cap)
-        small = mag * q / (1.0 - q) <= rel_tol * np.maximum(np.abs(acc), TINY)
-        ok_run = np.where(small, ok_run + 1, 0)
-        done |= zero | (ok_run >= 2)
-        if done.all():
-            break
-        mag_prev = mag
-    return acc, done
-
-
-def batch_shell_sum(arity, AS, P, coords, rel_tol, q_cap, s_max, use_numba=None):
-    """Dispatch a batched evaluation; returns (values, converged_mask)."""
-    if use_numba is None:
-        use_numba = NUMBA_ENABLED
-    if arity == 1:
-        fn = batch_r1_jit if use_numba else batch_r1_np
-        return fn(AS, P[0], coords[0], rel_tol, q_cap, s_max)
-    if arity == 2:
-        fn = batch_r2_jit if use_numba else batch_r2_np
-        return fn(AS, P[0], P[1], coords[0], coords[1], rel_tol, q_cap, s_max)
-    if arity == 3:
-        fn = batch_r3_jit if use_numba else batch_r3_np
-        return fn(AS, P[0], P[1], P[2], coords[0], coords[1], coords[2],
-                  rel_tol, q_cap, s_max)
-    raise ValueError("batched kernels cover arity 1..3 only")
+    out[live] = acc
+    return out, done

@@ -8,7 +8,7 @@ singularities included; the integrand that remains is the power kernel
 (1 - x t1 - y t2 - z t3)^(-alpha) times, depending on the row, a Gauss,
 two-variable, or three-variable hypergeometric factor evaluated at
 node-dependent arguments. Those factors run through the batched series
-kernels, chunked to bound memory.
+kernel, chunked to bound memory.
 
 The power kernel prints with the second coordinate multiplying the
 first node variable in three of the four rows. Both readings are
@@ -176,6 +176,21 @@ def _prefactor(desc, params, eps):
     return math.exp(acc)
 
 
+# a kernel call holds a few arrays of chunk x (terms in one shell): two
+# shells and their temporaries. The element budget bounds them at the
+# largest shell the budget allows; the node cap keeps the short shells
+# of r = 1, 2 in cache, where larger chunks ran slower
+_BATCH_ELEMS = 1 << 21
+_BATCH_NODES = 8192
+
+
+def _chunk_nodes(r, s_max):
+    """Nodes per kernel call: chunk x C(s_max + r - 1, r - 1), the terms
+    in shell s_max, stays within _BATCH_ELEMS; at least one node."""
+    size = math.comb(s_max + r - 1, r - 1)
+    return max(1, min(_BATCH_NODES, _BATCH_ELEMS // size))
+
+
 def _batch_family_a(alpha, betas, gammas, coords, s_max, q_cap):
     """Batched family-A values at many points, fixed parameters.
     coords: list of flat arrays, one per axis. Chunked; TruncationError
@@ -188,7 +203,7 @@ def _batch_family_a(alpha, betas, gammas, coords, s_max, q_cap):
                   for b, g in zip(betas, gammas)]))
     n = coords[0].size
     out = np.empty(n)
-    chunk = 256 if r == 3 else 8192
+    chunk = _chunk_nodes(r, s_max)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         part = [np.ascontiguousarray(c[lo:hi]) for c in coords]

@@ -11,9 +11,11 @@ and are summed shell by shell through the kernels module. Evaluation is
 pure; results depend only on the arguments.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,8 +102,6 @@ class EvalOptions:
     degree_cap: int = 120
     rel_tol: float = 1e-14
     max_terms: int = 2_000_000
-    # None defers to the LAURICELLA_DISABLE_NUMBA env flag
-    use_numba: bool | None = None
 
     def __post_init__(self):
         if self.degree_cap < 1:
@@ -247,12 +247,13 @@ def _step_arrays(fam, alpha, beta, gamma, xs, cap):
     return np.ascontiguousarray(AS), np.ascontiguousarray(AU.reshape(r, cap))
 
 
+@lru_cache(maxsize=256)
 def _shell_cap_from_terms(r: int, max_terms: int, degree_cap: int) -> int:
-    # cumulative term count through shell S is C(S + r, r)
-    s = 0
-    while s < degree_cap and math.comb(s + 1 + r, r) <= max_terms:
-        s += 1
-    return s
+    """Largest S <= degree_cap whose cumulative term count C(S + r, r)
+    stays within max_terms (0 when even shell 1 exceeds it)."""
+    # C(s + 1 + r, r) grows with s: bisect for the first shell past the guard
+    return bisect.bisect_right(range(degree_cap), max_terms,
+                               key=lambda s: math.comb(s + 1 + r, r))
 
 
 def _finish(value, shells, mag_last, mag_prev, terms, status, mags,
@@ -305,8 +306,7 @@ def eval_lauricella(params: LauricellaParams, point, opts: EvalOptions | None = 
     terms_limited = s_max < opts.degree_cap
     AS, AU = _step_arrays(params.family, alpha, beta, gamma, xs_r, s_max)
     q_cap = 1.0 - margin / 2.0
-    out = kernels.shell_sum(r, AS, AU, opts.rel_tol, q_cap, s_max,
-                            use_numba=opts.use_numba)
+    out = kernels.shell_sum(r, AS, AU, opts.rel_tol, q_cap, s_max)
     return _finish(*out, opts.rel_tol, q_cap, terms_limited)
 
 

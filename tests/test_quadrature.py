@@ -5,7 +5,9 @@ import pytest
 from scipy.special import hyp2f1
 
 from lauricella.errors import DomainError, ParamError
-from lauricella.quadrature import (both_variant_reports, build_rule,
+from lauricella.quadrature import (_BATCH_ELEMS, _BATCH_NODES, _chunk_nodes,
+                                   _shell_budget,
+                                   both_variant_reports, build_rule,
                                    cross_check, eval_integral_rep,
                                    gauss_jacobi_rule, integral_rep,
                                    list_integral_reps,
@@ -149,3 +151,23 @@ class TestDomainGuards:
         params, _ = _params(0)
         with pytest.raises(ParamError):
             eval_integral_rep(desc, params, (0.05, 0.05, 0.05), n=8)
+
+
+class TestBatchChunk:
+    def test_worst_budget_stays_bounded(self):
+        # the worst admitted node norm (1 - the pre-scan margin) gives the
+        # largest shell budget; one r = 3 shell there has C(602, 2) terms
+        s_max = _shell_budget(0.95)
+        assert s_max == 600
+        size = math.comb(s_max + 2, 2)
+        chunk = _chunk_nodes(3, s_max)
+        assert 1 <= chunk and chunk * size <= _BATCH_ELEMS
+        # two shells of the chunk stay far below the 1.5 GB that a fixed
+        # chunk of 256 full (s_max + 1)^2 squares would take
+        assert 2 * chunk * size * 8 < 64 * 2 ** 20
+
+    def test_small_shells_fill_the_budget(self):
+        size = math.comb(64 + 2, 2)
+        assert _chunk_nodes(3, 64) == _BATCH_ELEMS // size
+        # short shells are capped by a node count instead
+        assert _chunk_nodes(1, 64) == _chunk_nodes(2, 64) == _BATCH_NODES

@@ -11,6 +11,7 @@ from lauricella.series import (EvalOptions, Family, LauricellaParams,
                                eval_appell_f2, eval_gauss_2f1,
                                eval_lauricella, fd_at_unity,
                                in_convergence_domain, tail_bound)
+from lauricella.series import _shell_cap_from_terms
 
 # rel_tol this small never triggers the early stop, so the evaluator sums
 # every shell up to degree_cap and the index set matches the brute oracle
@@ -313,6 +314,24 @@ class TestDiagnostics:
             eval_lauricella(params, (0.3, 0.3, 0.3),
                             EvalOptions(degree_cap=120, rel_tol=1e-14,
                                         max_terms=20))
+
+
+class TestShellCap:
+    @staticmethod
+    def _loop(r, max_terms, degree_cap):
+        # the shell cap as first written: step S up while the cumulative
+        # term count C(S + 1 + r, r) stays within max_terms
+        s = 0
+        while s < degree_cap and math.comb(s + 1 + r, r) <= max_terms:
+            s += 1
+        return s
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_matches_loop(self, r):
+        for max_terms in (1, 2, 7, 100, 4_000, 123_456, 2_000_000, 10 ** 9):
+            for degree_cap in (1, 2, 3, 17, 120, 600, 2000):
+                assert _shell_cap_from_terms(r, max_terms, degree_cap) \
+                    == self._loop(r, max_terms, degree_cap)
 
 
 class TestValidation:
